@@ -254,6 +254,7 @@ void search_paths_dyn(const State& state,
   std::vector<serve::PathAnswer> base_answers(queries.size());
   serve::search_paths_grouped(state.base->flat(), queries.data(),
                               queries.size(), base_answers.data());
+  serve::count_grouped_batch(queries.size());
   const bool no_runs = state.runs.empty();
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     const serve::PathQuery& q = queries[qi];

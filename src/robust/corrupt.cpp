@@ -441,12 +441,12 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
           table_off + table_bytes > bytes.size()) {
         return Status::failed_precondition(path + " has no section table");
       }
-      // Rewrite one rank cell of the blocked multiway layout (kSimdPos),
-      // then re-forge the section CRC, the table CRC and the header CRC:
-      // the file is checksum-perfect and the fault is only catchable by
-      // snapshot::open recomputing the layout from the validated keys
-      // and comparing (load_simd_layout).  v1 files have no such section
-      // and cannot host the kind.
+      // Rewrite one rank cell of a v2 file's per-node multiway layout
+      // (kSimdPos), then re-forge the section CRC, the table CRC and the
+      // header CRC: the file is checksum-perfect.  snapshot::open never
+      // reads the section (it derives the root's layout from the keys),
+      // so the forged file must serve exactly as before.  v1 and v3
+      // files have no such section and cannot host the kind.
       std::vector<snapshot::SectionRecord> table(header.section_count);
       std::memcpy(table.data(), bytes.data() + table_off, table_bytes);
       std::size_t victim = table.size();
@@ -460,7 +460,7 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       }
       if (victim == table.size()) {
         return Status::failed_precondition(
-            path + " has no multiway search layout section (v1 file?)");
+            path + " has no multiway search layout section (v1 or v3 file)");
       }
       snapshot::SectionRecord& rec = table[victim];
       const std::size_t cells = rec.length / sizeof(std::uint32_t);
@@ -469,7 +469,7 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       unsigned char* cell_at =
           bytes.data() + rec.offset + cell * sizeof(std::uint32_t);
       std::memcpy(&value, cell_at, sizeof(value));
-      value ^= 1u;  // any change fails the exact recompute-and-compare
+      value ^= 1u;
       std::memcpy(cell_at, &value, sizeof(value));
       rec.crc32 = snapshot::crc32(bytes.data() + rec.offset, rec.length);
       std::memcpy(bytes.data() + table_off, table.data(), table_bytes);

@@ -47,12 +47,14 @@ enum class CorruptionKind : int {
                         ///  the header's payload_len
   kWireBitFlip = 15,    ///< flip one payload bit (CRC trailer catches it)
   // snapshot files again (kept after the wire kinds for enum stability)
-  kSnapshotSimdLayout = 16,  ///< rewrite one cell of the v2 multiway
-                             ///  search layout, with section/table/header
-                             ///  CRCs all re-forged so only snapshot::
-                             ///  open's recompute-and-compare structural
-                             ///  validation can catch it; v1 files (no
-                             ///  layout sections) -> kFailedPrecondition
+  kSnapshotSimdLayout = 16,  ///< rewrite one cell of a v2 file's
+                             ///  per-node multiway search layout, with
+                             ///  section/table/header CRCs re-forged.
+                             ///  open() never reads that section, so the
+                             ///  file serves unchanged; not in
+                             ///  kAllSnapshotFaultKinds.  v1 and v3 files
+                             ///  (no layout sections) ->
+                             ///  kFailedPrecondition, file untouched
   // dyn delta-log runs in memory (corrupt_run; dyn::decode_run must
   // reject each with a descriptive Status)
   kDeltaTruncatedRun = 17,      ///< cut the encoded run short at a
@@ -83,14 +85,13 @@ inline constexpr CorruptionKind kAllCorruptionKinds[] = {
     CorruptionKind::kGapBreakpointDisorder,
 };
 
-/// The file-level kinds (targets of corrupt_file, not of the in-memory
-/// corrupt overloads).
+/// The file-level kinds snapshot::open must refuse (targets of
+/// corrupt_file, not of the in-memory corrupt overloads).
 inline constexpr CorruptionKind kAllSnapshotFaultKinds[] = {
     CorruptionKind::kSnapshotTruncated,
     CorruptionKind::kSnapshotHeaderBitFlip,
     CorruptionKind::kSnapshotSectionCrc,
     CorruptionKind::kSnapshotSectionOffset,
-    CorruptionKind::kSnapshotSimdLayout,
 };
 
 /// The wire-level kinds (targets of corrupt_frame).

@@ -74,31 +74,26 @@ class FlatCascade {
   }
 
   /// aug_find: index of the smallest augmented key >= y at node v.
-  /// Branchless multiway descent over the node's blocked layout — one
-  /// cache line (8 keys) ranked per step, AVX2 when the CPU has it
-  /// (simd_find.hpp / DESIGN.md §12).  Always in [0, key_count): the
-  /// +inf terminal guarantees a hit.
+  /// At the root — where every served path starts — a branchless
+  /// multiway descent over the root's blocked layout, one cache line
+  /// (8 keys) ranked per step, AVX2 when the CPU has it (simd_find.hpp /
+  /// DESIGN.md §12); elsewhere find_binary().  Always in [0, key_count):
+  /// the +inf terminal guarantees a hit.
   [[nodiscard]] std::uint32_t find(std::uint32_t v, Key y) const {
-    const FlatNode& nd = nodes_[v];
-    const std::uint32_t off = simd_off_[v];
-    return simd::lower_bound(simd_keys_.data() + off, simd_pos_.data() + off,
-                             nd.key_count, y);
+    if (v == root()) {
+      return simd::lower_bound(root_keys_.data(), root_pos_.data(),
+                               nodes_[v].key_count, y);
+    }
+    return find_binary(v, y);
   }
 
-  /// The pre-SIMD branch-light binary search over the sorted key slice.
-  /// Kept as the differential reference for find(): both are exercised
-  /// against each other in tests and the bench equal-answers gate.
+  /// Branch-light binary search over the node's sorted key slice — the
+  /// search off the root and the differential reference for the root's
+  /// multiway descent (tests, the scrubber, the bench equal-answers gate).
   [[nodiscard]] std::uint32_t find_binary(std::uint32_t v, Key y) const {
     const FlatNode& nd = nodes_[v];
-    const Key* base = keys_.data() + nd.key_off;
-    const Key* k = base;
-    std::uint32_t n = nd.key_count;
-    while (n > 1) {
-      const std::uint32_t half = n / 2;
-      base += (base[half] < y) ? half : 0;
-      n -= half;
-    }
-    return static_cast<std::uint32_t>(base - k) + (*base < y ? 1 : 0);
+    return simd::lower_bound_binary(keys_.data() + nd.key_off, nd.key_count,
+                                    y);
   }
 
   /// Move from entry i at v (== find(v, y)) to find(child, y): one bridge
@@ -241,15 +236,14 @@ class FlatCascade {
     const std::uint32_t* proper = nullptr;
     const std::uint32_t* bridge = nullptr;
     const std::uint32_t* child = nullptr;
-    const Key* simd_keys = nullptr;
-    const std::uint32_t* simd_pos = nullptr;
-    const std::uint32_t* simd_off = nullptr;
+    const Key* root_keys = nullptr;  ///< the root's blocked layout
+    const std::uint32_t* root_pos = nullptr;
     std::uint32_t fanout = 0;
   };
   [[nodiscard]] KernelView kernel_view() const {
-    return KernelView{nodes_.data(),     keys_.data(),     proper_.data(),
-                      bridge_.data(),    child_.data(),    simd_keys_.data(),
-                      simd_pos_.data(),  simd_off_.data(), b_};
+    return KernelView{nodes_.data(),     keys_.data(),  proper_.data(),
+                      bridge_.data(),    child_.data(), root_keys_.data(),
+                      root_pos_.data(),  b_};
   }
 
   /// Untrusted-path validation: in-range node ids, starts at the root,
@@ -261,8 +255,8 @@ class FlatCascade {
   [[nodiscard]] std::size_t arena_bytes() const {
     return keys_.allocated_bytes() + proper_.allocated_bytes() +
            bridge_.allocated_bytes() + child_.allocated_bytes() +
-           nodes_.allocated_bytes() + simd_keys_.allocated_bytes() +
-           simd_pos_.allocated_bytes() + simd_off_.allocated_bytes();
+           nodes_.allocated_bytes() + root_keys_.allocated_bytes() +
+           root_pos_.allocated_bytes();
   }
   [[nodiscard]] std::size_t total_entries() const { return keys_.size(); }
 
@@ -272,18 +266,20 @@ class FlatCascade {
   /// that touches the representation (robust::StructureAccess idiom).
   friend struct snapshot::ArenaAccess;
 
+  /// Build root_keys_/root_pos_ from the root's key slice.  Run by
+  /// compile() and snapshot::open() once the pools hold validated keys.
+  void derive_root_layout();
+
   Pool<FlatNode> nodes_;
   Pool<Key> keys_;            ///< all augmented keys, node-major
   Pool<std::uint32_t> proper_;///< aug index -> original-catalog index
   Pool<std::uint32_t> bridge_;///< bridge rows, node-major then slot-major
   Pool<std::uint32_t> child_; ///< flattened child lists
-  // Blocked multiway search layout (simd_find.hpp): per node, key_count
-  // padded to a multiple of 8 slots of (key, rank); simd_off_[v] is the
-  // node's first slot.  Derived from keys_ at compile()/open() time and
-  // carried in v2 snapshots so mmap loads stay zero-copy.
-  Pool<Key> simd_keys_;
-  Pool<std::uint32_t> simd_pos_;
-  Pool<std::uint32_t> simd_off_;  ///< one entry per node
+  // The root's blocked multiway search layout (simd_find.hpp): its
+  // key_count padded to a multiple of 8 slots of (key, rank).  Derived
+  // state, always owned — never stored in a snapshot (DESIGN.md §12).
+  Pool<Key> root_keys_;
+  Pool<std::uint32_t> root_pos_;
   std::uint32_t b_ = 0;       ///< fan-out bound (walk-back cap)
 };
 

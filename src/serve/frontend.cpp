@@ -445,8 +445,13 @@ Status Frontend::serve_paths(std::span<const PathQuery> queries,
       return r;
     }
   };
-  return run_admitted(snapshot::SnapshotKind::kCascade, batch_override, report,
-                      served_version, attempt);
+  const Status st = run_admitted(snapshot::SnapshotKind::kCascade,
+                                 batch_override, report, served_version,
+                                 attempt);
+  if (st.ok()) {
+    count_grouped_batch(queries.size());  // the served attempt only
+  }
+  return st;
 }
 
 Status Frontend::serve_points(std::span<const geom::Point> points,

@@ -9,8 +9,7 @@ namespace serve {
 namespace {
 
 /// Engine-level metrics (DESIGN.md §10).  Handles resolve once; the batch
-/// path then pays a handful of relaxed atomic adds per *batch*, and the
-/// worker loop flushes its shard-claim count once per batch per worker.
+/// path then pays a handful of relaxed atomic adds per *batch*.
 struct EngineMetrics {
   obs::Counter batches;
   obs::Counter batches_inline;
@@ -33,7 +32,8 @@ EngineMetrics& engine_metrics() {
       r.counter("serve_engine_degraded_exception_total",
                 "Batches degraded to sequential rerun by a worker exception"),
       r.counter("serve_engine_shard_claims_total",
-                "Shards claimed from the batch cursor by pool workers"),
+                "Shards claimed by pool workers in parallel runs that "
+                "completed (an aborted run's claims are not counted)"),
       r.gauge("serve_engine_inflight_batches",
               "Batches submitted and not yet drained (queue depth)"),
       r.histogram("serve_engine_batch_queries", obs::exponential_bounds(),
@@ -45,9 +45,8 @@ EngineMetrics& engine_metrics() {
 }
 
 /// Group-kernel occupancy: queries / (groups * kPathGroup) measures how
-/// full the lockstep groups run.  Two relaxed adds per kernel call (one
-/// call serves up to a whole shard), so the kernel's hot loops stay
-/// untouched.
+/// full the lockstep groups run.  Two relaxed adds per served batch
+/// (count_grouped_batch), so the kernel's hot loops stay untouched.
 struct GroupKernelMetrics {
   obs::Counter groups;
   obs::Counter queries;
@@ -179,6 +178,10 @@ BatchReport QueryEngine::for_each(std::size_t n,
   std::string fail_reason;
   if (run_parallel(n, shard_size, fn, deadline_at, armed, fail_reason)) {
     report.shards = (n + shard_size - 1) / shard_size;
+    // A completed run claimed every shard exactly once.  Counting here,
+    // not per worker, keeps an aborted run's timing-dependent partial
+    // claims out of the counter.
+    em.shard_claims.add(report.shards);
     report.threads_used = threads_;
     finish();
     return report;
@@ -300,7 +303,6 @@ void QueryEngine::worker_loop() {
       deadline_at = deadline_at_;
       deadline_armed = deadline_armed_;
     }
-    std::uint64_t claims = 0;
     while (!abort_.load(std::memory_order_relaxed)) {
       if (deadline_armed && std::chrono::steady_clock::now() >= deadline_at) {
         abort_.store(true, std::memory_order_relaxed);
@@ -311,7 +313,6 @@ void QueryEngine::worker_loop() {
       if (shard >= num_shards) {
         break;
       }
-      ++claims;
       const std::size_t begin = shard * shard_size;
       const std::size_t end = std::min(n, begin + shard_size);
       try {
@@ -329,9 +330,6 @@ void QueryEngine::worker_loop() {
         break;
       }
     }
-    if (claims > 0) {
-      engine_metrics().shard_claims.add(claims);
-    }
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Empty critical section: pairs with the submitter's predicate check
       // so the notify cannot slip between its check and its sleep.
@@ -347,8 +345,10 @@ namespace {
 /// of search_paths_grouped / search_paths_grouped_into.  All per-query
 /// loop state lives in local arrays (registers/L1) and every pool access
 /// goes through the KernelView base pointers — no member-function or
-/// vector-size reload per phase.  Round 0 runs all g multiway descents
-/// through the software-pipelined simd::lower_bound_grouped; each bridge
+/// vector-size reload per phase.  Round 0 runs the g root descents
+/// through the software-pipelined simd::lower_bound_grouped over the
+/// root's blocked layout (a path that does not start at the root gets a
+/// binary search at its head instead); each bridge
 /// hop then runs in phases with the next phase's lines prefetched across
 /// the whole group, so per-hop cache misses overlap across queries
 /// instead of serializing along one query's dependency chain.
@@ -374,24 +374,26 @@ void run_path_group(const FlatCascade::KernelView& kv,
     y[q] = queries[q].y;
     maxlen = std::max(maxlen, len[q]);
   }
-  // Round 0: lockstep multiway descents at the paths' heads (usually all
-  // the root, whose top blocks stay hot across the group).
+  // Round 0: lockstep multiway descents at the root, whose top blocks
+  // stay hot across the group.
   for (std::size_t q = 0; q < g; ++q) {
+    gq[q] = simd::GroupedQuery{};  // n == 0: skipped by the kernel
     if (len[q] == 0) {
-      gq[q] = simd::GroupedQuery{};  // n == 0: skipped by the kernel
       continue;
     }
-    const auto v0 = static_cast<std::uint32_t>(path[q][0]);
-    const FlatNode* nd = &kv.nodes[v0];
-    const std::uint32_t off = kv.simd_off[v0];
-    gq[q] = simd::GroupedQuery{kv.simd_keys + off, kv.simd_pos + off,
-                               nd->key_count, y[q]};
-    cur[q] = nd;
+    cur[q] = &kv.nodes[path[q][0]];
+    if (path[q][0] == 0) {
+      gq[q] = simd::GroupedQuery{kv.root_keys, kv.root_pos,
+                                 cur[q]->key_count, y[q]};
+    }
   }
   simd::lower_bound_grouped(gq, head, g);
   for (std::size_t q = 0; q < g; ++q) {
     if (len[q] > 0) {
-      idx[q] = head[q];
+      idx[q] = path[q][0] == 0
+                   ? head[q]
+                   : simd::lower_bound_binary(kv.keys + cur[q]->key_off,
+                                              cur[q]->key_count, y[q]);
       out_aug[q][0] = idx[q];
       out_prop[q][0] = kv.proper[cur[q]->key_off + idx[q]];
     }
@@ -442,13 +444,16 @@ void run_path_group(const FlatCascade::KernelView& kv,
 
 }  // namespace
 
+void count_grouped_batch(std::size_t queries) {
+  if (queries > 0) {
+    GroupKernelMetrics& gm = group_kernel_metrics();
+    gm.groups.add((queries + kPathGroup - 1) / kPathGroup);
+    gm.queries.add(queries);
+  }
+}
+
 void search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
                           std::size_t count, PathAnswer* out) {
-  if (count > 0) {
-    GroupKernelMetrics& gm = group_kernel_metrics();
-    gm.groups.add((count + kPathGroup - 1) / kPathGroup);
-    gm.queries.add(count);
-  }
   const FlatCascade::KernelView kv = f.kernel_view();
   while (count > 0) {
     const std::size_t g = std::min(count, kPathGroup);
@@ -472,11 +477,6 @@ void search_paths_grouped_into(const FlatCascade& f, const PathQuery* queries,
                                std::size_t count,
                                std::uint32_t* const* out_aug,
                                std::uint32_t* const* out_proper) {
-  if (count > 0) {
-    GroupKernelMetrics& gm = group_kernel_metrics();
-    gm.groups.add((count + kPathGroup - 1) / kPathGroup);
-    gm.queries.add(count);
-  }
   const FlatCascade::KernelView kv = f.kernel_view();
   while (count > 0) {
     const std::size_t g = std::min(count, kPathGroup);
@@ -494,7 +494,7 @@ BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
                                const BatchOptions& opts) {
   out.assign(queries.size(), PathAnswer{});
   const std::size_t groups = (queries.size() + kPathGroup - 1) / kPathGroup;
-  return engine.for_each(
+  BatchReport r = engine.for_each(
       groups,
       [&](std::size_t gi) {
         const std::size_t begin = gi * kPathGroup;
@@ -504,6 +504,8 @@ BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
                              out.data() + begin);
       },
       opts);
+  count_grouped_batch(queries.size());
+  return r;
 }
 
 BatchReport serve_path_queries_flat(const FlatCascade& f, QueryEngine& engine,
@@ -512,7 +514,7 @@ BatchReport serve_path_queries_flat(const FlatCascade& f, QueryEngine& engine,
                                     const BatchOptions& opts) {
   out.reset(queries);
   const std::size_t groups = (queries.size() + kPathGroup - 1) / kPathGroup;
-  return engine.for_each(
+  BatchReport r = engine.for_each(
       groups,
       [&](std::size_t gi) {
         const std::size_t begin = gi * kPathGroup;
@@ -526,6 +528,8 @@ BatchReport serve_path_queries_flat(const FlatCascade& f, QueryEngine& engine,
         search_paths_grouped_into(f, queries.data() + begin, cnt, ap, pp);
       },
       opts);
+  count_grouped_batch(queries.size());
+  return r;
 }
 
 BatchReport serve_point_queries(const FlatPointLocator& loc,

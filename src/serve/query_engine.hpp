@@ -172,6 +172,14 @@ inline constexpr std::size_t kPathGroup = 16;
 void search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
                           std::size_t count, PathAnswer* out);
 
+/// Record one served batch of `queries` grouped-kernel queries in the
+/// serve_group_kernel_* counters.  The kernels do not count themselves:
+/// the code that owns a batch calls this once for the attempt whose
+/// answers it serves, so a parallel attempt aborted part-way (its
+/// groups rerun on the sequential path) leaves no timing-dependent
+/// residue in the counters (DESIGN.md §10).
+void count_grouped_batch(std::size_t queries);
+
 /// Serve a batch of explicit-path queries.  `out` is resized to the batch;
 /// the batch is cut into kPathGroup-sized lockstep groups (the unit workers
 /// claim), and answer q is written only by the worker that owns query q's

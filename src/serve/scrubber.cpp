@@ -145,22 +145,24 @@ Status Scrubber::run_pass() {
       const cat::Key y = static_cast<cat::Key>(
           rng.next() % static_cast<std::uint64_t>(opts_.sample_key_range));
       std::uint32_t v = f.root();
+      // At the root find() descends the blocked multiway layout and
+      // find_binary() the sorted key pool.  They are derived from the
+      // same data, so a disagreement means one of the two rotted — catch
+      // it even when the oracle happens to agree with the corrupted
+      // answer.  Below the root the key pool is the only representation.
+      const std::uint32_t root_idx = f.find(v, y);
+      const std::uint32_t root_bin = f.find_binary(v, y);
+      if (root_idx != root_bin) {
+        bad = Status::corrupted(
+            "scrub of generation " + std::to_string(version) +
+            ": differential mismatch between search layouts at the root"
+            " for y=" + std::to_string(y) + " (multiway " +
+            std::to_string(root_idx) + ", binary " +
+            std::to_string(root_bin) + ")");
+        break;
+      }
       for (;;) {
-        // find() descends the blocked multiway layout; find_binary() the
-        // sorted key pool.  They are derived from the same data, so a
-        // disagreement means one of the two arenas rotted — catch it even
-        // when the oracle happens to agree with the corrupted answer.
         const std::uint32_t idx = f.find(v, y);
-        const std::uint32_t bin = f.find_binary(v, y);
-        if (idx != bin) {
-          bad = Status::corrupted(
-              "scrub of generation " + std::to_string(version) +
-              ": differential mismatch between search layouts at node " +
-              std::to_string(v) + " for y=" + std::to_string(y) +
-              " (multiway " + std::to_string(idx) + ", binary " +
-              std::to_string(bin) + ")");
-          break;
-        }
         const std::uint32_t got = f.to_proper(v, idx);
         const std::uint32_t want = oracle_(v, y);
         if (got != want) {

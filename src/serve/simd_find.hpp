@@ -2,15 +2,17 @@
 
 /// Branchless multiway catalog search (DESIGN.md §12).
 ///
-/// Every flat catalog carries, next to its sorted key slice, a *blocked
-/// multiway layout*: the keys of one node re-arranged into an implicit
-/// (B+1)-ary search tree with B = 8 keys per block, so one block is
-/// exactly one cache line of int64 keys and one AVX2 rank step (two
+/// The root catalog of a flat cascade carries, next to its sorted key
+/// slice, a *blocked multiway layout*: its keys re-arranged into an
+/// implicit (B+1)-ary search tree with B = 8 keys per block, so one block
+/// is exactly one cache line of int64 keys and one AVX2 rank step (two
 /// 256-bit compares + movemask + popcount) resolves a whole block.  The
 /// descent is branchless — the block index is computed arithmetically
 /// from the rank, the candidate answer is kept via conditional select —
 /// and touches ceil(log9(nblocks)) + 1 cache lines instead of the
-/// log2(n) dependent lines of a binary search.
+/// log2(n) dependent lines of a binary search.  Only the root needs it:
+/// every served path starts there, and below the root a bridge hop plus a
+/// walk-back of at most fanout_bound() entries replaces the search.
 ///
 /// Layout (per catalog of n keys, padded to S = ceil(n/8)*8 slots):
 ///   slot_keys[S] : block k owns slots [8k, 8k+8); within a block keys
@@ -54,13 +56,14 @@ inline constexpr std::uint32_t kBlock = 8;
 /// Branching factor of the implicit tree (B keys separate B+1 children).
 inline constexpr std::uint32_t kFan = kBlock + 1;
 
-/// Padded slot count for an n-key catalog (0 keys -> 0 slots).
-[[nodiscard]] constexpr std::uint32_t num_slots(std::uint32_t n) {
-  return (n + kBlock - 1) / kBlock * kBlock;
+/// Block count for an n-key catalog; 64-bit intermediate so no n wraps.
+[[nodiscard]] constexpr std::uint32_t num_blocks(std::uint32_t n) {
+  return static_cast<std::uint32_t>((std::uint64_t{n} + kBlock - 1) / kBlock);
 }
 
-[[nodiscard]] constexpr std::uint32_t num_blocks(std::uint32_t n) {
-  return (n + kBlock - 1) / kBlock;
+/// Padded slot count for an n-key catalog (0 keys -> 0 slots).
+[[nodiscard]] constexpr std::size_t num_slots(std::uint32_t n) {
+  return std::size_t{num_blocks(n)} * kBlock;
 }
 
 namespace detail {
@@ -100,24 +103,19 @@ inline void build_layout(const Key* keys, std::uint32_t n, Key* slot_keys,
   detail::in_order(0, num_blocks(n), emit);
 }
 
-/// Verify that slot_keys/slot_pos are exactly what build_layout would
-/// produce from keys[0..n) — the structural check snapshot::open runs
-/// over mapped v2 layout sections before trusting them.
-[[nodiscard]] inline bool check_layout(const Key* keys, std::uint32_t n,
-                                       const Key* slot_keys,
-                                       const std::uint32_t* slot_pos) {
-  std::uint32_t t = 0;
-  bool ok = true;
-  auto emit = [&](std::size_t slot) {
-    if (t < n) {
-      ok = ok && slot_keys[slot] == keys[t] && slot_pos[slot] == t;
-      ++t;
-    } else {
-      ok = ok && slot_keys[slot] == cat::kInfinity && slot_pos[slot] == n;
-    }
-  };
-  detail::in_order(0, num_blocks(n), emit);
-  return ok && t == n;
+/// Branch-light binary search over the sorted slice keys[0..n): the
+/// search below the root, where no layout exists, and the differential
+/// reference for the multiway kernels.  Same result as lower_bound().
+[[nodiscard]] inline std::uint32_t lower_bound_binary(const Key* keys,
+                                                      std::uint32_t n, Key y) {
+  const Key* base = keys;
+  while (n > 1) {
+    const std::uint32_t half = n / 2;
+    base += (base[half] < y) ? half : 0;
+    n -= half;
+  }
+  return static_cast<std::uint32_t>(base - keys) +
+         (n == 1 && *base < y ? 1 : 0);
 }
 
 /// Test/bench hook: force the scalar kernel even when AVX2 is available,

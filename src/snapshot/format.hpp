@@ -31,13 +31,15 @@ inline constexpr std::array<char, 8> kMagic = {'C', 'O', 'O', 'P',
 /// outside [kMinFormatVersion, kFormatVersion] (no best-effort parsing of
 /// unknown *newer* layouts).
 ///
-/// v2 (PR 7) adds the blocked multiway search layout: sections
-/// kSimdKeys/kSimdPos/kSimdOff and ArenaMeta::num_simd_slots (meta grows
-/// 56 -> 64 bytes, strictly appended).  v1 files stay loadable: open()
-/// reads the 56-byte meta prefix and *rebuilds* the layout pools from the
-/// validated key sections (transparent re-layout, never UB) — see
-/// DESIGN.md §12.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v1: the arena pools.  v2 added a blocked multiway search layout for
+/// every node (sections kSimdKeys/kSimdPos/kSimdOff, meta grown 56 -> 64
+/// bytes by their slot count, kArenaMetaSizeV2).  v3 drops them: only the
+/// root's layout is ever searched, and open() derives it from the
+/// validated keys (DESIGN.md §12); its section set is v1's.  open()
+/// reads all three versions through one path: a v2 file's layout
+/// sections are CRC-checked like any section and never interpreted, and
+/// only its meta's 56-byte prefix is read.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 /// Written natively by an LE writer; reads as 0x04030201 on a big-endian
@@ -76,7 +78,8 @@ enum class SectionId : std::uint32_t {
   kHiX = 11,
   kHiY = 12,
   kMaxSep = 13,   ///< int32 running-max pool
-  // Blocked multiway search layout (v2+; serve/simd_find.hpp):
+  // Per-node multiway search layout, v2 files only; never read, and no
+  // longer written (the ids stay reserved):
   kSimdKeys = 14,  ///< int64 layout slots, node-major, 8-slot blocks
   kSimdPos = 15,   ///< uint32 rank per slot (n for padding slots)
   kSimdOff = 16,   ///< uint32 per-node first-slot offset
@@ -126,14 +129,12 @@ struct ArenaMeta {
   std::uint32_t pad = 0;
   std::uint64_t num_entries = 0;  ///< pointloc edge-geometry pool elements
   std::uint64_t num_regions = 0;  ///< pointloc region count
-  // v2 fields are strictly appended: a v1 reader record is this struct's
-  // 56-byte prefix (kArenaMetaSizeV1), zero-filled by open() for v1 files.
-  std::uint64_t num_simd_slots = 0;  ///< simd_keys_/simd_pos_ elements
 };
-static_assert(sizeof(ArenaMeta) == 64);
+static_assert(sizeof(ArenaMeta) == 56);
 
-/// Size of the kMeta payload in v1 files (the v2 prefix).
-inline constexpr std::uint32_t kArenaMetaSizeV1 = 56;
+/// Size of the kMeta payload in v2 files: ArenaMeta followed by the
+/// uint64 slot count of the (unread) layout sections.
+inline constexpr std::uint32_t kArenaMetaSizeV2 = 64;
 
 /// Payload of SectionId::kRoutingMeta (SnapshotKind::kRoutingMap files).
 /// The reader cross-checks these counts against every routing section's

@@ -11,6 +11,8 @@
 //
 // open() maps the file PROT_READ and points serve::Pool views straight
 // into it — the pools are never copied; the page cache is the arena.
+// The one owned piece is the root's search layout (12 bytes per root
+// key), derived from the validated keys (DESIGN.md §12).
 // Before anything can be served, open() verifies the full robust
 // discipline: magic/version/endian header with its own CRC, a CRC'd
 // section table, per-section CRC32 over every payload byte, and a

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "robust/corrupt.hpp"
 #include "snapshot/registry.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot_craft.hpp"
 
 namespace {
 
@@ -318,6 +320,85 @@ TEST(Recovery, CompactedBaseBootsAndOrphanSpoolIsSwept) {
   EXPECT_EQ(b.cat->stats().watermark, watermark);
   EXPECT_EQ(all_live(*b.cat, tree.num_nodes()), want);
   EXPECT_NE(::access(orphan.c_str(), F_OK), 0);  // swept at recovery
+}
+
+TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV3) {
+  // A WAL directory left by a build that spooled format-v2 bases: its
+  // MANIFEST names a v2 base-<wm>.snap.  This build must recover it with
+  // every acked write readable, and its next compaction must spool a v3
+  // base (no layout sections) that reopens.
+  const cat::Tree tree = make_tree();
+  dyn::DurabilityOptions d;
+  d.dir = fresh_dir("v2base");
+
+  Boot a;
+  ASSERT_TRUE(a.up(tree, d).ok());
+  std::mt19937_64 rng(61);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(a.cat->apply(random_batch(tree, rng, 60)).ok());
+  }
+  Compactor compactor(*a.cat, {});
+  ASSERT_TRUE(compactor.compact_once().ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(a.cat->apply(random_batch(tree, rng, 60)).ok());
+  }
+  const auto want = all_live(*a.cat, tree.num_nodes());
+  const std::uint64_t want_seq = a.cat->stats().write_seq;
+  a.cat->wal()->simulate_crash();
+
+  auto manifest = dyn::read_wal_manifest(d.dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
+  ASSERT_FALSE(manifest->base_file.empty());
+  const std::string base = d.dir + "/" + manifest->base_file;
+  snapshot_craft::upgrade_to_v2(base);
+  ASSERT_TRUE(snapshot_craft::has_layout_sections(base));
+
+  Boot b;
+  ASSERT_TRUE(b.up(tree, d).ok());
+  EXPECT_EQ(b.report.base_file, manifest->base_file);
+  EXPECT_EQ(b.cat->stats().write_seq, want_seq);
+  EXPECT_EQ(all_live(*b.cat, tree.num_nodes()), want);
+  // Read-your-writes through the serving read path (the grouped kernel
+  // over the v2 base, then the merge with the replayed runs).
+  std::vector<serve::PathQuery> queries(64);
+  for (auto& q : queries) {
+    q.path = {tree.root()};
+    while (!tree.is_leaf(q.path.back())) {
+      const auto kids = tree.children(q.path.back());
+      q.path.push_back(kids[rng() % kids.size()]);
+    }
+    q.y = static_cast<Key>(rng() % (2 * kKeyRange));
+  }
+  std::vector<dyn::PathKeys> got(queries.size());
+  dyn::search_paths_dyn(*b.cat->state(), queries, got.data());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    for (std::size_t step = 0; step < queries[qi].path.size(); ++step) {
+      const auto& live = want.at(static_cast<std::uint32_t>(
+          queries[qi].path[step]));
+      const auto it = std::lower_bound(live.begin(), live.end(), queries[qi].y);
+      EXPECT_EQ(got[qi].keys[step], it == live.end() ? cat::kInfinity : *it)
+          << "query " << qi << " step " << step;
+    }
+  }
+
+  ASSERT_TRUE(b.cat->apply(random_batch(tree, rng, 60)).ok());
+  const auto want_after = all_live(*b.cat, tree.num_nodes());
+  Compactor next(*b.cat, {});
+  ASSERT_TRUE(next.compact_once().ok());
+  auto spooled = dyn::read_wal_manifest(d.dir);
+  ASSERT_TRUE(spooled.ok());
+  ASSERT_NE(spooled->base_file, manifest->base_file);
+  const std::string v3 = d.dir + "/" + spooled->base_file;
+  EXPECT_EQ(snapshot_craft::parse(snapshot_craft::slurp(v3)).header.version,
+            snapshot::kFormatVersion);
+  EXPECT_FALSE(snapshot_craft::has_layout_sections(v3));
+  EXPECT_TRUE(snapshot::open(v3).ok());
+  b.cat->wal()->simulate_crash();
+
+  Boot c;
+  ASSERT_TRUE(c.up(tree, d).ok());
+  EXPECT_EQ(c.report.base_file, spooled->base_file);
+  EXPECT_EQ(all_live(*c.cat, tree.num_nodes()), want_after);
 }
 
 TEST(Recovery, EmptyFinalSegmentFromRotationCrash) {

@@ -4,8 +4,10 @@
 // lane-boundary-sized, empty — every dispatch (scalar and, where the cpu
 // has it, AVX2) must return exactly std::lower_bound's rank, and the
 // grouped lockstep kernel must agree with the one-query kernel slot for
-// slot.  A build with -DCOOPSEARCH_DISABLE_SIMD=ON runs the same suite
-// with dispatch_is_avx2() pinned false.
+// slot.  A flat cascade keeps a layout for its root only, so the
+// kernels are also swept over layouts built here from every node's key
+// slice of a compiled cascade.  A build with -DCOOPSEARCH_DISABLE_SIMD=ON
+// runs the same suite with dispatch_is_avx2() pinned false.
 
 #include <gtest/gtest.h>
 
@@ -76,10 +78,10 @@ std::vector<Key> probes(const std::vector<Key>& keys, std::mt19937_64& rng) {
 
 void expect_layout_exact(const Layout& l, std::mt19937_64& rng) {
   const auto n = static_cast<std::uint32_t>(l.keys.size());
-  ASSERT_TRUE(simd::check_layout(l.keys.data(), n, l.slot_keys.data(),
-                                 l.slot_pos.data()));
   for (const Key y : probes(l.keys, rng)) {
     const std::uint32_t want = oracle_rank(l.keys, y);
+    EXPECT_EQ(simd::lower_bound_binary(l.keys.data(), n, y), want)
+        << "binary, n=" << n << " y=" << y;
     EXPECT_EQ(simd::lower_bound_scalar(l.slot_keys.data(), l.slot_pos.data(),
                                        n, y),
               want)
@@ -221,30 +223,32 @@ TEST(SimdFind, GroupedKernelMatchesSingleQueryKernel) {
   }
 }
 
-TEST(SimdFind, CheckLayoutRejectsAnyTampering) {
-  std::vector<Key> keys(37);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<Key>(i) * 3 + 1;
+TEST(SimdFind, LayoutIsAnInOrderPermutationPaddedWithInfinity) {
+  // Every rank appears in exactly one slot, next to its own key; the
+  // padding slots read (+inf, n); and each block ascends.
+  for (const std::uint32_t n : {1u, 8u, 9u, 37u, 73u, 200u}) {
+    std::vector<Key> keys(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      keys[i] = static_cast<Key>(i) * 3 + 1;
+    }
+    const Layout l = make_layout(keys);
+    std::vector<int> seen(n, 0);
+    for (std::size_t s = 0; s < l.slot_keys.size(); ++s) {
+      const std::uint32_t r = l.slot_pos[s];
+      if (r == n) {
+        EXPECT_EQ(l.slot_keys[s], cat::kInfinity) << "n=" << n << " slot " << s;
+        continue;
+      }
+      ASSERT_LT(r, n);
+      ++seen[r];
+      EXPECT_EQ(l.slot_keys[s], keys[r]) << "n=" << n << " slot " << s;
+      if (s % simd::kBlock != 0) {
+        EXPECT_LT(l.slot_keys[s - 1], l.slot_keys[s]) << "n=" << n;
+      }
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
   }
-  Layout l = make_layout(keys);
-  const auto n = static_cast<std::uint32_t>(keys.size());
-  ASSERT_TRUE(simd::check_layout(keys.data(), n, l.slot_keys.data(),
-                                 l.slot_pos.data()));
-  for (std::size_t s = 0; s < l.slot_keys.size(); ++s) {
-    Layout t = l;
-    t.slot_keys[s] ^= 1;
-    EXPECT_FALSE(simd::check_layout(keys.data(), n, t.slot_keys.data(),
-                                    t.slot_pos.data()))
-        << "key slot " << s;
-    t = l;
-    t.slot_pos[s] ^= 1;
-    EXPECT_FALSE(simd::check_layout(keys.data(), n, t.slot_keys.data(),
-                                    t.slot_pos.data()))
-        << "pos slot " << s;
-  }
-  // A layout built for different n must not verify either.
-  EXPECT_FALSE(simd::check_layout(keys.data(), n - 1, l.slot_keys.data(),
-                                  l.slot_pos.data()));
 }
 
 TEST(SimdFind, DispatchNameReflectsForcedScalar) {
@@ -255,11 +259,12 @@ TEST(SimdFind, DispatchNameReflectsForcedScalar) {
   EXPECT_FALSE(simd::dispatch_is_avx2());
 }
 
-TEST(SimdFind, FlatCascadeFindAgreesWithBinaryReferenceOnEveryNode) {
-  // find() descends the multiway layout, find_binary() the sorted pool;
-  // they must agree for every node and query under both dispatches —
-  // this is the same invariant the scrubber's differential sampler and
-  // snapshot::open's structural check enforce in production.
+TEST(SimdFind, KernelsAgreeWithBinarySearchOnEveryNodesKeySlice) {
+  // A cascade stores a blocked layout for its root only, so flat.find()
+  // exercises the multiway kernels at one node.  Build a layout from
+  // every node's key slice here and sweep both kernels against
+  // find_binary(), one query per node and all nodes as lockstep groups,
+  // under both dispatches.
   std::mt19937_64 rng(707);
   const auto tree =
       cat::make_balanced_binary(6, 3000, cat::CatalogShape::kRandom, rng);
@@ -267,18 +272,43 @@ TEST(SimdFind, FlatCascadeFindAgreesWithBinaryReferenceOnEveryNode) {
   auto flat_e = serve::FlatCascade::compile(s);
   ASSERT_TRUE(flat_e.ok());
   const serve::FlatCascade flat = flat_e.take();
+  std::vector<Layout> layouts;
   for (std::uint32_t v = 0; v < flat.num_nodes(); ++v) {
+    const Key* k = flat.key_ptr(v, 0);
+    layouts.push_back(
+        make_layout(std::vector<Key>(k, k + flat.node(v).key_count)));
+  }
+  for (const bool scalar : {false, true}) {
+    ForceScalar fs(scalar);
+    SCOPED_TRACE(simd::dispatch_name());
     for (int i = 0; i < 40; ++i) {
       const Key y = static_cast<Key>(rng() % 2'000'000'000) - 1'000'000'000;
-      const std::uint32_t bin = flat.find_binary(v, y);
-      EXPECT_EQ(flat.find(v, y), bin) << "node " << v << " y=" << y;
-      {
-        ForceScalar fs(true);
-        EXPECT_EQ(flat.find(v, y), bin) << "scalar, node " << v << " y=" << y;
+      std::vector<simd::GroupedQuery> qs;
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t v = 0; v < flat.num_nodes(); ++v) {
+        const Layout& l = layouts[v];
+        const auto n = static_cast<std::uint32_t>(l.keys.size());
+        const std::uint32_t bin = flat.find_binary(v, y);
+        // The +inf terminal keeps every serving answer strictly inside
+        // the node's slice.
+        ASSERT_LT(bin, n);
+        EXPECT_EQ(simd::lower_bound(l.slot_keys.data(), l.slot_pos.data(), n,
+                                    y),
+                  bin)
+            << "node " << v << " y=" << y;
+        qs.push_back({l.slot_keys.data(), l.slot_pos.data(), n, y});
+        want.push_back(bin);
       }
-      // The +inf terminal keeps every serving answer strictly inside the
-      // node's slice.
-      EXPECT_LT(bin, flat.node(v).key_count);
+      for (std::size_t at = 0; at < qs.size(); at += 64) {
+        const std::size_t g = std::min<std::size_t>(64, qs.size() - at);
+        std::vector<std::uint32_t> got(g);
+        simd::lower_bound_grouped(qs.data() + at, got.data(), g);
+        for (std::size_t q = 0; q < g; ++q) {
+          EXPECT_EQ(got[q], want[at + q]) << "node " << at + q << " y=" << y;
+        }
+      }
+      // The root is the one node whose find() runs the multiway kernel.
+      EXPECT_EQ(flat.find(flat.root(), y), want[flat.root()]) << "y=" << y;
     }
   }
 }

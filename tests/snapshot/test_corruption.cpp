@@ -15,6 +15,7 @@
 #include "geom/generators.hpp"
 #include "robust/corrupt.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot_craft.hpp"
 
 namespace {
 
@@ -86,26 +87,34 @@ TEST(SnapshotCorruption, PointLocatorSnapshotsAreCoveredToo) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotCorruption, ForgedSimdLayoutIsRejectedAsCorrupted) {
-  // The simd-layout kind re-forges every checksum, so this is precisely
-  // the fault the CRCs can NOT catch: open() must reject it with a typed
-  // kCorrupted Status from the recompute-and-compare structural check.
+TEST(SnapshotCorruption, ForgedSimdLayoutInV2FileIsServedIdentically) {
+  // The simd-layout kind forges one cell of a v2 file's per-node layout
+  // and re-forges every checksum.  open() never reads those sections —
+  // it derives the root's layout from the validated keys — so the file
+  // opens and serves exactly what the unforged file serves.
   const std::string path = tmp_path("victim_simd.snap");
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     write_good_snapshot(path);
+    snapshot_craft::upgrade_to_v2(path);
+    auto clean = snapshot::open(path);
+    ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+    const auto before = snapshot_craft::slurp(path);
     ASSERT_TRUE(
         robust::corrupt_file(path, CorruptionKind::kSnapshotSimdLayout, seed)
             .ok());
-    // Checksum-perfect: the CRC verifier has nothing to complain about.
-    {
-      auto mapped = snapshot::open(path);
-      ASSERT_FALSE(mapped.ok());
-      EXPECT_EQ(mapped.status().code(), coop::StatusCode::kCorrupted)
-          << mapped.status().to_string();
-      EXPECT_NE(mapped.status().message().find("simd layout"),
-                std::string::npos)
-          << mapped.status().to_string();
+    ASSERT_NE(snapshot_craft::slurp(path), before);
+    auto forged = snapshot::open(path);
+    ASSERT_TRUE(forged.ok()) << forged.status().to_string();
+    const serve::FlatCascade& a = clean->cascade;
+    const serve::FlatCascade& b = forged->cascade;
+    std::mt19937_64 rng(seed);
+    for (std::uint32_t v = 0; v < a.num_nodes(); ++v) {
+      for (int i = 0; i < 16; ++i) {
+        const auto y = static_cast<cat::Key>(rng() % 2'000'000'000);
+        EXPECT_EQ(b.find(v, y), a.find(v, y)) << "node " << v << " y=" << y;
+        EXPECT_EQ(b.to_proper(v, b.find(v, y)), a.to_proper(v, a.find(v, y)));
+      }
     }
   }
   std::remove(path.c_str());
