@@ -28,6 +28,8 @@
 
 #include <thread>
 
+#include <benchmark/benchmark.h>
+
 #include "catalog/tree.hpp"
 #include "core/explicit_search.hpp"
 #include "fc/search.hpp"
@@ -455,22 +457,25 @@ inline int run_pointloc_compare(const Options& o) {
                               [&](std::size_t at, std::size_t c) {
                                 for (std::size_t qi = at; qi < at + c; ++qi) {
                                   pram::Machine m(sim_p);
-                                  (void)pointloc::coop_locate(st, m,
-                                                              queries[qi]);
+                                  benchmark::DoNotOptimize(
+                                      pointloc::coop_locate(st, m,
+                                                            queries[qi]));
                                 }
                               })));
   rows.push_back(make_row("septree_seq", 1,
                   measure(num_queries, 200, min_sec,
                               [&](std::size_t at, std::size_t c) {
                                 for (std::size_t qi = at; qi < at + c; ++qi) {
-                                  (void)st.locate(queries[qi]);
+                                  benchmark::DoNotOptimize(
+                                      st.locate(queries[qi]));
                                 }
                               })));
   rows.push_back(make_row("flat", 1,
                   measure(num_queries, 1000, min_sec,
                               [&](std::size_t at, std::size_t c) {
                                 for (std::size_t qi = at; qi < at + c; ++qi) {
-                                  (void)loc.locate(queries[qi]);
+                                  benchmark::DoNotOptimize(
+                                      loc.locate(queries[qi]));
                                 }
                               })));
   {
@@ -480,7 +485,8 @@ inline int run_pointloc_compare(const Options& o) {
                                 [&](std::size_t at, std::size_t c) {
                                   for (std::size_t qi = at; qi < at + c;
                                        ++qi) {
-                                    (void)loc.locate(queries[qi]);
+                                    benchmark::DoNotOptimize(
+                                        loc.locate(queries[qi]));
                                   }
                                 })));
   }

@@ -1,6 +1,7 @@
 #include "dyn/overlay.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -112,18 +113,17 @@ ProperIndex ProperIndex::build(const serve::FlatCascade& flat) {
     const serve::FlatNode& nd = kv.nodes[v];
     // Proper size = proper index of the +inf terminal + 1 (the terminal
     // is itself a proper entry, so this covers the whole catalog).
-    const std::uint32_t count =
-        kv.proper[nd.key_off + nd.key_count - 1] + 1;
-    idx.offsets_[v + 1] = idx.offsets_[v] + count;
+    idx.offsets_[v + 1] =
+        idx.offsets_[v] + kv.to_proper(nd, nd.key_count - 1) + 1;
   }
-  idx.keys_.assign(idx.offsets_.back(), 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const serve::FlatNode& nd = kv.nodes[v];
-    Key* out = idx.keys_.data() + idx.offsets_[v];
-    // Ascending scan: the last aug key mapping to proper index p is the
-    // proper key itself (aug ⊇ proper), so overwrite-in-order lands it.
-    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
-      out[kv.proper[nd.key_off + i]] = kv.keys[nd.key_off + i];
+  // The keys pool is node-major, so the own keys in pool order are every
+  // node's proper keys in node order: one pass over the set bits.
+  idx.keys_.resize(idx.offsets_.back());
+  Key* out = idx.keys_.data();
+  const std::size_t words = (flat.total_entries() + 63) / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t m = kv.own_bits[w]; m != 0; m &= m - 1) {
+      *out++ = kv.keys[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
     }
   }
   return idx;

@@ -41,11 +41,10 @@ namespace dyn {
 class Wal;  // wal.hpp — attached via attach_wal, owned by the catalog
 
 /// Per-generation index of every node's *proper* (original-catalog)
-/// keys, reconstructed from the flat arena in one linear scan — the
-/// augmented pools carry proper keys implicitly (aug ⊇ proper, and the
-/// largest aug key mapping to proper index p is the proper key itself),
-/// so no snapshot format change is needed.  Each node's slice is
-/// ascending and ends with the +inf sentinel.
+/// keys, reconstructed from the flat arena in one linear scan: the
+/// augmented keys whose own bit is set (aug ⊇ proper), so no snapshot
+/// format change is needed.  Each node's slice is ascending and ends with
+/// the +inf sentinel.
 class ProperIndex {
  public:
   ProperIndex() = default;

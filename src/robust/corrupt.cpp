@@ -445,7 +445,7 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       // (kSimdPos), then re-forge the section CRC, the table CRC and the
       // header CRC: the file is checksum-perfect.  snapshot::open never
       // reads the section (it derives the root's layout from the keys),
-      // so the forged file must serve exactly as before.  v1 and v3
+      // so the forged file must serve exactly as before.  v1, v3 and v4
       // files have no such section and cannot host the kind.
       std::vector<snapshot::SectionRecord> table(header.section_count);
       std::memcpy(table.data(), bytes.data() + table_off, table_bytes);
@@ -460,7 +460,8 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       }
       if (victim == table.size()) {
         return Status::failed_precondition(
-            path + " has no multiway search layout section (v1 or v3 file)");
+            path +
+            " has no multiway search layout section (v1, v3 or v4 file)");
       }
       snapshot::SectionRecord& rec = table[victim];
       const std::size_t cells = rec.length / sizeof(std::uint32_t);

@@ -52,8 +52,8 @@ enum class CorruptionKind : int {
                              ///  section/table/header CRCs re-forged.
                              ///  open() never reads that section, so the
                              ///  file serves unchanged; not in
-                             ///  kAllSnapshotFaultKinds.  v1 and v3 files
-                             ///  (no layout sections) ->
+                             ///  kAllSnapshotFaultKinds.  v1, v3 and v4
+                             ///  files (no layout sections) ->
                              ///  kFailedPrecondition, file untouched
   // dyn delta-log runs in memory (corrupt_run; dyn::decode_run must
   // reject each with a descriptive Status)

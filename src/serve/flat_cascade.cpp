@@ -46,9 +46,12 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     if (a.proper.size() != a.keys.size()) {
       return Status::corrupted("proper[] size mismatch" + at_node(vi));
     }
-    // proper[i] must be the exact original-catalog successor position;
-    // one merge walk checks all entries in O(|aug| + |catalog|).
-    std::size_t j = 0;
+    // proper[i] must be the exact original-catalog successor position,
+    // and every own key must appear among the augmented keys: then
+    // proper[i] is the number of own entries before i, which is all the
+    // arena keeps (one bit per entry).  One merge walk checks all entries
+    // in O(|aug| + |catalog|).
+    std::size_t j = 0, own_before = 0;
     for (std::size_t i = 0; i < a.keys.size(); ++i) {
       while (own.key(j) < a.keys[i]) {
         ++j;  // terminates: both sequences end at +infinity
@@ -58,6 +61,11 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
         return Status::corrupted("proper[] is not the original successor" +
                                  at_node(vi));
       }
+      if (j != own_before) {
+        return Status::corrupted("own key missing from augmented catalog" +
+                                 at_node(vi));
+      }
+      own_before += own.key(j) == a.keys[i] ? 1 : 0;
     }
     const auto kids = t.children(v);
     if (a.num_children != kids.size() ||
@@ -99,13 +107,13 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
   }
 
   // Pass 2: pack.  Node order is node-id order (BFS-ish for the
-  // generators), keys/proper/bridge node-major so one node's hot data is
-  // contiguous.
+  // generators), keys/own bits/bridges node-major so one node's hot data
+  // is contiguous.
   FlatCascade f;
   f.b_ = s.fanout_bound();
   f.nodes_ = Pool<FlatNode>(nn);
   f.keys_ = Pool<Key>(total_keys);
-  f.proper_ = Pool<std::uint32_t>(total_keys);
+  f.own_bits_ = Pool<std::uint64_t>((total_keys + 63) / 64);
   f.bridge_ = Pool<std::uint32_t>(total_bridge);
   f.child_ = Pool<std::uint32_t>(total_child);
   std::uint32_t key_off = 0, bridge_off = 0, child_off = 0;
@@ -123,9 +131,13 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     nd.slot = v == t.root()
                   ? 0
                   : static_cast<std::uint16_t>(t.child_slot(v));
+    const cat::Catalog& own = t.catalog(v);
     for (std::size_t i = 0; i < a.keys.size(); ++i) {
-      f.keys_[key_off + i] = a.keys[i];
-      f.proper_[key_off + i] = static_cast<std::uint32_t>(a.proper[i]);
+      const std::size_t p = key_off + i;
+      f.keys_[p] = a.keys[i];
+      if (own.key(static_cast<std::size_t>(a.proper[i])) == a.keys[i]) {
+        f.own_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
+      }
     }
     for (std::size_t i = 0; i < a.bridge.size(); ++i) {
       f.bridge_[bridge_off + i] = static_cast<std::uint32_t>(a.bridge[i]);
@@ -138,16 +150,22 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     child_off += static_cast<std::uint32_t>(kids.size());
   }
 
-  f.derive_root_layout();
+  f.derive_state();
   return f;
 }
 
-void FlatCascade::derive_root_layout() {
+void FlatCascade::derive_state() {
   const FlatNode& nd = nodes_[root()];
   root_keys_ = Pool<Key>(simd::num_slots(nd.key_count));
   root_pos_ = Pool<std::uint32_t>(simd::num_slots(nd.key_count));
   simd::build_layout(keys_.data() + nd.key_off, nd.key_count,
                      root_keys_.data(), root_pos_.data());
+  own_rank_ = Pool<std::uint32_t>(own_bits_.size());
+  std::uint32_t rank = 0;
+  for (std::size_t w = 0; w < own_bits_.size(); ++w) {
+    own_rank_[w] = rank;
+    rank += popcount64(own_bits_[w]);
+  }
 }
 
 coop::Status FlatCascade::validate_path(std::span<const NodeId> path) const {

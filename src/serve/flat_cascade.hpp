@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,7 +24,7 @@ using cat::NodeId;
 /// deliberately small because the hot loop touches one FlatNode per path
 /// node.
 struct FlatNode {
-  std::uint32_t key_off = 0;     ///< start of keys/proper slices
+  std::uint32_t key_off = 0;     ///< start of the node's key slice
   std::uint32_t key_count = 0;   ///< augmented size (incl. +inf terminal)
   std::uint32_t bridge_off = 0;  ///< start of bridge rows (key_count each)
   std::uint32_t child_off = 0;   ///< start of child-index slice
@@ -33,12 +34,46 @@ struct FlatNode {
 };
 static_assert(sizeof(FlatNode) == 24);
 
+/// Set bits of a 64-bit word.  This library builds for the x86-64
+/// baseline, where std::popcount is a call into libgcc, so the POPCNT
+/// instruction is picked at run time like the AVX2 kernels (one
+/// predictable branch), with inline SWAR arithmetic as the fallback.
+/// Every proper index takes popcounts, on the critical path of a point
+/// location's descent (DESIGN.md §12).
+[[nodiscard]] inline std::uint32_t popcount64(std::uint64_t x) {
+#if defined(COOPSEARCH_SIMD_X86)
+  if (simd::use_popcnt) {
+    std::uint64_t n;
+    asm("popcnt %1, %0" : "=r"(n) : "rm"(x));
+    return static_cast<std::uint32_t>(n);
+  }
+#endif
+#if defined(__x86_64__) && !defined(__POPCNT__)
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ull) >> 56);
+#else
+  return static_cast<std::uint32_t>(std::popcount(x));
+#endif
+}
+
+/// Set bits of `bits` before bit position `p`, given the rank directory
+/// `ranks` (set bits before each 64-bit word).
+[[nodiscard]] inline std::uint32_t rank_bits(const std::uint64_t* bits,
+                                             const std::uint32_t* ranks,
+                                             std::size_t p) {
+  const std::uint64_t below = (std::uint64_t{1} << (p & 63)) - 1;
+  return ranks[p >> 6] + popcount64(bits[p >> 6] & below);
+}
+
 /// The serving-layer compilation of an fc::Structure: every augmented
-/// catalog's keys / proper / bridge columns packed into three contiguous
-/// SoA pools (one 64-byte-aligned allocation each, `uint32` offsets), the
-/// tree topology flattened to index arrays, so a whole cascaded-path query
-/// runs on five base pointers with no per-node vector hops.  Immutable
-/// after compile(); safe to share across query threads.
+/// catalog's keys and bridge rows packed into contiguous SoA pools (one
+/// 64-byte-aligned allocation each, `uint32` offsets), one own/dummy bit
+/// per augmented entry, and the tree topology flattened to index arrays,
+/// so a whole cascaded-path query runs on a handful of base pointers with
+/// no per-node vector hops.  Immutable after compile(); safe to share
+/// across query threads.
 ///
 /// Answers are defined by the sequential oracles: for every valid path and
 /// key, search() returns exactly the aug/proper indices of
@@ -52,8 +87,9 @@ class FlatCascade {
 
   /// Compile `s` into the arena.  `s` is validated structurally first
   /// (sorted keys, +inf terminals, exact-successor bridges, proper-map
-  /// correctness, topology arity) so a corrupted structure — e.g. one
-  /// mutated by robust::corrupt — is rejected with a Status instead of
+  /// correctness with every own key among the augmented keys, topology
+  /// arity) so a corrupted structure — e.g. one mutated by
+  /// robust::corrupt — is rejected with a Status instead of
   /// being baked into an arena that would read out of bounds.  The source
   /// structure is not referenced after compile() returns.
   [[nodiscard]] static coop::Expected<FlatCascade> compile(
@@ -116,10 +152,21 @@ class FlatCascade {
     return pos;
   }
 
-  /// Original-catalog index of find(y, v), valid when i == find(v, y).
+  /// Original-catalog index of find(y, v), valid when i == find(v, y):
+  /// the number of v's own entries before i, read from the own-entry bits
+  /// through the rank directory (DESIGN.md §12).
   [[nodiscard]] std::uint32_t to_proper(std::uint32_t v,
                                         std::uint32_t i) const {
-    return proper_[nodes_[v].key_off + i];
+    const std::uint32_t off = nodes_[v].key_off;
+    return rank_bits(own_bits_.data(), own_rank_.data(), off + i) -
+           rank_bits(own_bits_.data(), own_rank_.data(), off);
+  }
+
+  /// Whether entry i of v is a key of v's own catalog (a proper entry)
+  /// rather than a dummy cascaded in from a neighbour.
+  [[nodiscard]] bool is_own(std::uint32_t v, std::uint32_t i) const {
+    const std::size_t p = std::size_t{nodes_[v].key_off} + i;
+    return ((own_bits_[p >> 6] >> (p & 63)) & 1) != 0;
   }
 
   // follow_bridge, split into phases for lockstep batch kernels
@@ -136,14 +183,10 @@ class FlatCascade {
     return bridge_.data() + nd.bridge_off +
            static_cast<std::size_t>(slot) * nd.key_count + i;
   }
-  /// Key / proper addresses at node w around a bridge landing position
-  /// (prefetch aids; the walk-back moves at most fanout_bound() entries).
+  /// Key address at node w around a bridge landing position (prefetch
+  /// aid; the walk-back moves at most fanout_bound() entries).
   [[nodiscard]] const Key* key_ptr(std::uint32_t w, std::uint32_t pos) const {
     return keys_.data() + nodes_[w].key_off + pos;
-  }
-  [[nodiscard]] const std::uint32_t* proper_ptr(std::uint32_t w,
-                                                std::uint32_t pos) const {
-    return proper_.data() + nodes_[w].key_off + pos;
   }
   /// Walk-back half of follow_bridge: refine landing `pos` to find(w, y).
   [[nodiscard]] std::uint32_t walk_back(std::uint32_t w, std::uint32_t pos,
@@ -200,24 +243,29 @@ class FlatCascade {
     return r;
   }
 
-  /// Implicit root-to-leaf descent: `branch(v, proper_index)` picks the
-  /// child slot at every internal node (same contract as fc::BranchFn).
-  /// Returns the leaf reached; out_last_proper (optional) receives the
-  /// leaf's proper index.  Used by the flat point locator.
+  /// Implicit root-to-leaf descent: `branch(v, own)` picks the child
+  /// slot at every internal node, where `own` is the position of
+  /// find(v, y)'s proper entry among all nodes' own entries, node-major:
+  /// to_proper() plus the own entries of the nodes before v.  Returns the
+  /// leaf reached; out_last_own (optional) receives the leaf's `own`.
+  /// Used by the flat point locator, whose entry pools are laid out in
+  /// exactly that order; one rank per level instead of to_proper's two
+  /// keeps the descent's critical path short.
   template <typename BranchFn>
   [[nodiscard]] std::uint32_t walk_implicit(
-      Key y, BranchFn&& branch, std::uint32_t* out_last_proper = nullptr) const {
+      Key y, BranchFn&& branch, std::uint32_t* out_last_own = nullptr) const {
     std::uint32_t v = root();
     std::uint32_t i = find(v, y);
     for (;;) {
-      const std::uint32_t prop = to_proper(v, i);
+      const std::uint32_t own = rank_bits(own_bits_.data(), own_rank_.data(),
+                                          std::size_t{nodes_[v].key_off} + i);
       if (is_leaf(v)) {
-        if (out_last_proper != nullptr) {
-          *out_last_proper = prop;
+        if (out_last_own != nullptr) {
+          *out_last_own = own;
         }
         return v;
       }
-      const std::uint32_t slot = branch(v, prop);
+      const std::uint32_t slot = branch(v, own);
       const std::uint32_t w = child(v, slot);
       __builtin_prefetch(&nodes_[w]);
       i = follow_bridge(v, i, slot, y);
@@ -233,17 +281,33 @@ class FlatCascade {
   struct KernelView {
     const FlatNode* nodes = nullptr;
     const Key* keys = nullptr;
-    const std::uint32_t* proper = nullptr;
+    const std::uint64_t* own_bits = nullptr;
+    const std::uint32_t* own_rank = nullptr;
     const std::uint32_t* bridge = nullptr;
     const std::uint32_t* child = nullptr;
     const Key* root_keys = nullptr;  ///< the root's blocked layout
     const std::uint32_t* root_pos = nullptr;
     std::uint32_t fanout = 0;
+
+    /// FlatCascade::to_proper for entry i of node `nd`.
+    [[nodiscard]] std::uint32_t to_proper(const FlatNode& nd,
+                                          std::uint32_t i) const {
+      return rank_bits(own_bits, own_rank, nd.key_off + i) -
+             rank_bits(own_bits, own_rank, nd.key_off);
+    }
   };
   [[nodiscard]] KernelView kernel_view() const {
-    return KernelView{nodes_.data(),     keys_.data(),  proper_.data(),
-                      bridge_.data(),    child_.data(), root_keys_.data(),
-                      root_pos_.data(),  b_};
+    KernelView kv;
+    kv.nodes = nodes_.data();
+    kv.keys = keys_.data();
+    kv.own_bits = own_bits_.data();
+    kv.own_rank = own_rank_.data();
+    kv.bridge = bridge_.data();
+    kv.child = child_.data();
+    kv.root_keys = root_keys_.data();
+    kv.root_pos = root_pos_.data();
+    kv.fanout = b_;
+    return kv;
   }
 
   /// Untrusted-path validation: in-range node ids, starts at the root,
@@ -253,10 +317,10 @@ class FlatCascade {
 
   /// Arena footprint in bytes (all pools; space accounting for benches).
   [[nodiscard]] std::size_t arena_bytes() const {
-    return keys_.allocated_bytes() + proper_.allocated_bytes() +
-           bridge_.allocated_bytes() + child_.allocated_bytes() +
-           nodes_.allocated_bytes() + root_keys_.allocated_bytes() +
-           root_pos_.allocated_bytes();
+    return keys_.allocated_bytes() + own_bits_.allocated_bytes() +
+           own_rank_.allocated_bytes() + bridge_.allocated_bytes() +
+           child_.allocated_bytes() + nodes_.allocated_bytes() +
+           root_keys_.allocated_bytes() + root_pos_.allocated_bytes();
   }
   [[nodiscard]] std::size_t total_entries() const { return keys_.size(); }
 
@@ -266,13 +330,20 @@ class FlatCascade {
   /// that touches the representation (robust::StructureAccess idiom).
   friend struct snapshot::ArenaAccess;
 
-  /// Build root_keys_/root_pos_ from the root's key slice.  Run by
-  /// compile() and snapshot::open() once the pools hold validated keys.
-  void derive_root_layout();
+  /// Build the derived pools — root_keys_/root_pos_ from the root's key
+  /// slice, own_rank_ from own_bits_.  Run by compile() and
+  /// snapshot::open() once the pools hold validated keys.
+  void derive_state();
 
   Pool<FlatNode> nodes_;
   Pool<Key> keys_;            ///< all augmented keys, node-major
-  Pool<std::uint32_t> proper_;///< aug index -> original-catalog index
+  /// One bit per augmented entry, node-major over keys_ (bit p of the
+  /// pool in word p / 64): set where the entry is a key of the node's own
+  /// catalog.  Bits past the last entry are zero.
+  Pool<std::uint64_t> own_bits_;
+  /// Derived rank directory, never stored: set bits of own_bits_ before
+  /// each word, so to_proper() is two popcounts (DESIGN.md §12).
+  Pool<std::uint32_t> own_rank_;
   Pool<std::uint32_t> bridge_;///< bridge rows, node-major then slot-major
   Pool<std::uint32_t> child_; ///< flattened child lists
   // The root's blocked multiway search layout (simd_find.hpp): its

@@ -12,8 +12,9 @@ namespace serve {
 /// structure goes through FlatCascade, and the per-entry edge geometry the
 /// branch rule needs (endpoints for the side test, max_sep for the
 /// running-max rule) is flattened into SoA pools indexed by
-/// entry_off[node] + proper_index — no Catalog, payload table, or edge
-/// array hop in the hot loop.  Immutable and thread-safe after compile().
+/// entry_off[node] + proper_index, which is the position walk_implicit
+/// hands the branch rule — no Catalog, payload table, or edge array hop
+/// in the hot loop.  Immutable and thread-safe after compile().
 ///
 /// locate() implements the same running-max branch rule as
 /// SeparatorTree::locate (the recommended form; no per-gap storage) and is
@@ -33,12 +34,12 @@ class FlatPointLocator {
   /// Region index containing q (same contract as SeparatorTree::locate).
   [[nodiscard]] std::size_t locate(const geom::Point& q) const {
     std::int32_t max_el = 0;
-    const auto branch = [&](std::uint32_t v, std::uint32_t prop) {
-      return branch_at(v, prop, q, max_el);
+    const auto branch = [&](std::uint32_t v, std::uint32_t e) {
+      return branch_at(v, e, q, max_el);
     };
-    std::uint32_t last_prop = 0;
-    const std::uint32_t leaf = cascade_.walk_implicit(q.y, branch, &last_prop);
-    const std::uint32_t last_branch = branch_at(leaf, last_prop, q, max_el);
+    std::uint32_t last_e = 0;
+    const std::uint32_t leaf = cascade_.walk_implicit(q.y, branch, &last_e);
+    const std::uint32_t last_branch = branch_at(leaf, last_e, q, max_el);
     const std::int32_t m = sep_[leaf];
     return static_cast<std::size_t>(last_branch == 1 ? m : m - 1);
   }
@@ -58,11 +59,11 @@ class FlatPointLocator {
   /// The running-max branch rule on flat data (see SeparatorTree::branch_at
   /// and coop_pointloc.cpp for the correctness argument).  An entry is
   /// active iff its edge's open span contains q.y; sentinel entries carry
-  /// lo_y == +inf so they are inactive without a separate flag.
-  [[nodiscard]] std::uint32_t branch_at(std::uint32_t v, std::uint32_t prop,
+  /// lo_y == +inf so they are inactive without a separate flag.  `e` is
+  /// the entry's index in the pools (entry_off_[v] + its proper index).
+  [[nodiscard]] std::uint32_t branch_at(std::uint32_t v, std::uint32_t e,
                                         const geom::Point& q,
                                         std::int32_t& max_el) const {
-    const std::size_t e = entry_off_[v] + prop;
     if (lo_y_[e] < q.y) {  // active edge: discriminate geometrically
       const geom::Point lo{lo_x_[e], lo_y_[e]};
       const geom::Point hi{hi_x_[e], hi_y_[e]};

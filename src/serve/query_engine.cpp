@@ -395,7 +395,7 @@ void run_path_group(const FlatCascade::KernelView& kv,
                    : simd::lower_bound_binary(kv.keys + cur[q]->key_off,
                                               cur[q]->key_count, y[q]);
       out_aug[q][0] = idx[q];
-      out_prop[q][0] = kv.proper[cur[q]->key_off + idx[q]];
+      out_prop[q][0] = kv.to_proper(*cur[q], idx[q]);
     }
   }
   // One bridge hop per round for every query still on its path.
@@ -415,14 +415,16 @@ void run_path_group(const FlatCascade::KernelView& kv,
         __builtin_prefetch(cell[q]);
       }
     }
-    // Phase 2: landing positions + the key/proper lines the walk-back
-    // will touch (it moves at most kv.fanout entries left).
+    // Phase 2: landing positions + the key line the walk-back will touch
+    // (it moves at most kv.fanout entries left).  The own-bit and rank
+    // words the proper index is read from are not prefetched: together
+    // those pools are 1/40 the size of the keys and mostly cached, and
+    // prefetching them measured slower (DESIGN.md §12).
     for (std::size_t q = 0; q < g; ++q) {
       if (step < len[q]) {
         pos[q] = *cell[q];
         const std::uint32_t back = pos[q] > kv.fanout ? pos[q] - kv.fanout : 0;
         __builtin_prefetch(kv.keys + nxt[q]->key_off + back);
-        __builtin_prefetch(kv.proper + nxt[q]->key_off + back);
       }
     }
     // Phase 3: walk-backs + answers.
@@ -436,7 +438,7 @@ void run_path_group(const FlatCascade::KernelView& kv,
         idx[q] = p;
         cur[q] = nxt[q];
         out_aug[q][step] = p;
-        out_prop[q][step] = kv.proper[nxt[q]->key_off + p];
+        out_prop[q][step] = kv.to_proper(*nxt[q], p);
       }
     }
   }

@@ -126,7 +126,25 @@ inline bool& force_scalar_flag() {
   static bool flag = false;
   return flag;
 }
-inline void set_force_scalar(bool v) { force_scalar_flag() = v; }
+
+#if defined(COOPSEARCH_SIMD_X86)
+/// Whether popcounts (the own-entry ranks of flat_cascade.hpp) use the
+/// POPCNT instruction: CPU support, off under the scalar hook.  A plain
+/// bool set at start-up and by set_force_scalar, not a
+/// __builtin_cpu_supports call per popcount: the hot loops' stores of
+/// uint32 answers cannot alias it, so they load it once.
+inline bool use_popcnt = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("popcnt") != 0;
+}();
+#endif
+
+inline void set_force_scalar(bool v) {
+  force_scalar_flag() = v;
+#if defined(COOPSEARCH_SIMD_X86)
+  use_popcnt = !v && __builtin_cpu_supports("popcnt");
+#endif
+}
 
 [[nodiscard]] inline bool dispatch_is_avx2() {
 #if defined(COOPSEARCH_SIMD_X86)

@@ -35,11 +35,15 @@ inline constexpr std::array<char, 8> kMagic = {'C', 'O', 'O', 'P',
 /// every node (sections kSimdKeys/kSimdPos/kSimdOff, meta grown 56 -> 64
 /// bytes by their slot count, kArenaMetaSizeV2).  v3 drops them: only the
 /// root's layout is ever searched, and open() derives it from the
-/// validated keys (DESIGN.md §12); its section set is v1's.  open()
-/// reads all three versions through one path: a v2 file's layout
-/// sections are CRC-checked like any section and never interpreted, and
-/// only its meta's 56-byte prefix is read.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// validated keys (DESIGN.md §12); its section set is v1's.  v4 replaces
+/// the uint32 aug -> proper map (kProper) by one own/dummy bit per entry
+/// (kOwnBits); the proper index is the entry's rank among its node's own
+/// entries, read through a rank directory open() derives.  open() reads
+/// all four versions through one path: a v2 file's layout sections are
+/// CRC-checked like any section and never interpreted, only its meta's
+/// 56-byte prefix is read, and a v1-v3 kProper section is checked to be
+/// a rank sequence and turned into bits.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 /// Written natively by an LE writer; reads as 0x04030201 on a big-endian
@@ -67,7 +71,7 @@ enum class SectionId : std::uint32_t {
   kMeta = 1,      ///< one ArenaMeta
   kNodes = 2,     ///< serve::FlatNode[num_nodes]
   kKeys = 3,      ///< int64 keys, node-major
-  kProper = 4,    ///< uint32 aug -> proper map
+  kProper = 4,    ///< uint32 aug -> proper map (v1-v3; v4 has kOwnBits)
   kBridge = 5,    ///< uint32 bridge rows
   kChild = 6,     ///< uint32 flattened child lists
   // FlatPointLocator extension sections:
@@ -88,6 +92,8 @@ enum class SectionId : std::uint32_t {
   kRoutingOwner = 18,     ///< uint32 owner shard per global node
   kRoutingLocal = 19,     ///< uint32 local -> global ids, shard-major
   kRoutingShardOff = 20,  ///< uint64[num_shards+1] offsets into kRoutingLocal
+  // v4 replacement of kProper:
+  kOwnBits = 21,  ///< uint64 words, bit p set iff entry p is its node's own
 };
 
 /// 64-byte file header.  header_crc covers these 64 bytes with the
@@ -122,7 +128,7 @@ static_assert(sizeof(SectionRecord) == 32);
 /// arena state.  Pointloc fields are zero for kCascade files.
 struct ArenaMeta {
   std::uint64_t num_nodes = 0;
-  std::uint64_t num_keys = 0;    ///< keys_/proper_ elements
+  std::uint64_t num_keys = 0;    ///< augmented entries (keys, own bits)
   std::uint64_t num_bridge = 0;
   std::uint64_t num_child = 0;
   std::uint32_t fanout_bound = 0;

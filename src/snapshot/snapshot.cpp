@@ -28,8 +28,8 @@ struct ArenaAccess {
     return f.nodes_;
   }
   static const serve::Pool<cat::Key>& keys(const FC& f) { return f.keys_; }
-  static const serve::Pool<std::uint32_t>& proper(const FC& f) {
-    return f.proper_;
+  static const serve::Pool<std::uint64_t>& own_bits(const FC& f) {
+    return f.own_bits_;
   }
   static const serve::Pool<std::uint32_t>& bridge(const FC& f) {
     return f.bridge_;
@@ -38,21 +38,22 @@ struct ArenaAccess {
     return f.child_;
   }
   /// Pools must already be validated (validate_mapped_cascade): the
-  /// root's search layout is derived from them here.
+  /// root's search layout and the rank directory are derived from them
+  /// here.
   static FC assemble_cascade(serve::Pool<serve::FlatNode> nodes,
                              serve::Pool<cat::Key> keys,
-                             serve::Pool<std::uint32_t> proper,
+                             serve::Pool<std::uint64_t> own_bits,
                              serve::Pool<std::uint32_t> bridge,
                              serve::Pool<std::uint32_t> child,
                              std::uint32_t fanout_bound) {
     FC f;
     f.nodes_ = std::move(nodes);
     f.keys_ = std::move(keys);
-    f.proper_ = std::move(proper);
+    f.own_bits_ = std::move(own_bits);
     f.bridge_ = std::move(bridge);
     f.child_ = std::move(child);
     f.b_ = fanout_bound;
-    f.derive_root_layout();
+    f.derive_state();
     return f;
   }
 
@@ -177,8 +178,8 @@ void append_cascade_sections(const serve::FlatCascade& f,
                  A::nodes(f).size() * sizeof(serve::FlatNode)});
   out.push_back({SectionId::kKeys, sizeof(cat::Key), A::keys(f).data(),
                  A::keys(f).size() * sizeof(cat::Key)});
-  out.push_back({SectionId::kProper, 4, A::proper(f).data(),
-                 A::proper(f).size() * 4});
+  out.push_back({SectionId::kOwnBits, 8, A::own_bits(f).data(),
+                 A::own_bits(f).size() * 8});
   out.push_back({SectionId::kBridge, 4, A::bridge(f).data(),
                  A::bridge(f).size() * 4});
   out.push_back({SectionId::kChild, 4, A::child(f).data(),
@@ -314,20 +315,20 @@ Status get_section(const Parsed& p, SectionId id, std::uint32_t elem_size,
                            std::to_string(static_cast<std::uint32_t>(id)));
 }
 
+std::string at_node(std::uint64_t v) {
+  return " at node " + std::to_string(v);
+}
+
 /// Structural pass over the mapped cascade pools: every offset, count,
 /// child id and bridge target the assert-free hot loop will dereference
 /// is proved in-bounds here, so even a file with forged-valid CRCs
 /// cannot cause an out-of-pool read.  Layout is required to be exactly
-/// the sequential node-major packing compile() emits.
+/// the sequential node-major packing compile() emits.  The own-entry
+/// bits are checked by validate_own_bits once the cascade is assembled.
 Status validate_mapped_cascade(const serve::FlatNode* nodes,
                                const ArenaMeta& m, const cat::Key* keys,
-                               const std::uint32_t* proper,
                                const std::uint32_t* bridge,
-                               const std::uint32_t* child,
-                               const std::uint32_t* entry_off) {
-  const auto at_node = [](std::uint64_t v) {
-    return " at node " + std::to_string(v);
-  };
+                               const std::uint32_t* child) {
   std::uint64_t key_off = 0, bridge_off = 0, child_off = 0;
   for (std::uint64_t vi = 0; vi < m.num_nodes; ++vi) {
     const serve::FlatNode& nd = nodes[vi];
@@ -385,22 +386,6 @@ Status validate_mapped_cascade(const serve::FlatNode* nodes,
       return Status::corrupted("augmented catalog missing +inf terminal" +
                                at_node(vi));
     }
-    // proper[] indexes the node's own original catalog.  Without the
-    // catalog the exact-successor property is the writer's (CRC-covered)
-    // word; the bound below is what in-process consumers rely on: the
-    // pointloc entry pools are indexed entry_off[v] + proper, so cap by
-    // the node's entry span when one exists, else by the (larger)
-    // augmented count.
-    const std::uint64_t prop_bound =
-        entry_off != nullptr
-            ? (vi + 1 < m.num_nodes ? entry_off[vi + 1] : m.num_entries) -
-                  entry_off[vi]
-            : nd.key_count;
-    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
-      if (proper[key_off + i] >= prop_bound) {
-        return Status::corrupted("proper index out of range" + at_node(vi));
-      }
-    }
     for (std::uint32_t e = 0; e < nd.num_children; ++e) {
       const std::uint32_t w = child[child_off + e];
       const std::uint32_t wc = nodes[w].key_count;
@@ -424,9 +409,139 @@ Status validate_mapped_cascade(const serve::FlatNode* nodes,
   return coop::OkStatus();
 }
 
+/// The own-entry bits of a v1-v3 file, from its uint32 aug -> proper
+/// map.  The map must be a rank sequence — 0 at each node's first entry,
+/// then steps of 0 or 1 — and entry i is own exactly where the map steps
+/// after it (the +inf terminal always is).  Anything else is corrupted:
+/// no arena built by compile() carries it.  Nodes must already be
+/// validated (validate_mapped_cascade).
+coop::Expected<serve::Pool<std::uint64_t>> own_bits_from_proper(
+    const serve::FlatNode* nodes, const ArenaMeta& m,
+    const std::uint32_t* proper) {
+  serve::Pool<std::uint64_t> bits((m.num_keys + 63) / 64);
+  for (std::uint64_t vi = 0; vi < m.num_nodes; ++vi) {
+    const serve::FlatNode& nd = nodes[vi];
+    const std::uint32_t* pr = proper + nd.key_off;
+    if (pr[0] != 0) {
+      return Status::corrupted("proper map does not start at 0" + at_node(vi));
+    }
+    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
+      const bool last = i + 1 == nd.key_count;
+      const std::uint32_t step = last ? 1 : pr[i + 1] - pr[i];
+      if (step > 1) {
+        return Status::corrupted("proper map is not a rank sequence" +
+                                 at_node(vi));
+      }
+      const std::uint64_t p = std::uint64_t{nd.key_off} + i;
+      bits[p >> 6] |= std::uint64_t{step} << (p & 63);
+    }
+  }
+  return bits;
+}
+
+/// The own-entry checks that put every proper index in range by
+/// construction: each node's +inf terminal is own, so to_proper(v, i)
+/// lies in [0, own count of v); no bit is set past the last entry; and a
+/// point locator node has exactly as many own entries as its entry span,
+/// which branch_at indexes as entry_off[v] + proper.
+Status validate_own_bits(const serve::FlatCascade& f, const ArenaMeta& m,
+                         const std::uint32_t* entry_off) {
+  const std::uint64_t tail = m.num_keys & 63;
+  if (tail != 0 && ArenaAccess::own_bits(f)[m.num_keys >> 6] >> tail != 0) {
+    return Status::corrupted("own-entry bit set past the last entry");
+  }
+  for (std::uint32_t v = 0; v < m.num_nodes; ++v) {
+    const std::uint32_t last = f.node(v).key_count - 1;
+    if (!f.is_own(v, last)) {
+      return Status::corrupted("+inf terminal not marked own" + at_node(v));
+    }
+    if (entry_off != nullptr) {
+      const std::uint64_t span =
+          (v + 1 < m.num_nodes ? entry_off[v + 1] : m.num_entries) -
+          entry_off[v];
+      if (f.to_proper(v, last) + 1 != span) {
+        return Status::corrupted("own-entry count differs from entry span" +
+                                 at_node(v));
+      }
+    }
+  }
+  return coop::OkStatus();
+}
+
 template <typename T>
 serve::Pool<T> view_of(const void* data, std::uint64_t count) {
   return serve::Pool<T>::view(static_cast<const T*>(data), count);
+}
+
+/// The cascade pools of a verified file, validated and assembled over the
+/// mapping.  `entry_off` holds a point locator's (monotone) entry
+/// offsets, null for a cascade file.
+coop::Expected<serve::FlatCascade> load_cascade(
+    const Parsed& p, const ArenaMeta& meta, const std::uint32_t* entry_off) {
+  const void *nodes_raw = nullptr, *keys_raw = nullptr, *bridge_raw = nullptr,
+             *child_raw = nullptr;
+  if (Status s = get_section(p, SectionId::kNodes, sizeof(serve::FlatNode),
+                             meta.num_nodes, nodes_raw);
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = get_section(p, SectionId::kKeys, sizeof(cat::Key),
+                             meta.num_keys, keys_raw);
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = get_section(p, SectionId::kBridge, 4, meta.num_bridge,
+                             bridge_raw);
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = get_section(p, SectionId::kChild, 4, meta.num_child,
+                             child_raw);
+      !s.ok()) {
+    return s;
+  }
+  const auto* nodes = static_cast<const serve::FlatNode*>(nodes_raw);
+  if (Status s = validate_mapped_cascade(
+          nodes, meta, static_cast<const cat::Key*>(keys_raw),
+          static_cast<const std::uint32_t*>(bridge_raw),
+          static_cast<const std::uint32_t*>(child_raw));
+      !s.ok()) {
+    return s;
+  }
+
+  const std::uint64_t words = (meta.num_keys + 63) / 64;
+  serve::Pool<std::uint64_t> own_bits;
+  if (p.header.version >= 4) {
+    const void* bits_raw = nullptr;
+    if (Status s = get_section(p, SectionId::kOwnBits, 8, words, bits_raw);
+        !s.ok()) {
+      return s;
+    }
+    own_bits = view_of<std::uint64_t>(bits_raw, words);
+  } else {
+    const void* proper_raw = nullptr;
+    if (Status s = get_section(p, SectionId::kProper, 4, meta.num_keys,
+                               proper_raw);
+        !s.ok()) {
+      return s;
+    }
+    auto bits = own_bits_from_proper(
+        nodes, meta, static_cast<const std::uint32_t*>(proper_raw));
+    if (!bits.ok()) {
+      return bits.status();
+    }
+    own_bits = bits.take();
+  }
+
+  serve::FlatCascade f = ArenaAccess::assemble_cascade(
+      view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
+      view_of<cat::Key>(keys_raw, meta.num_keys), std::move(own_bits),
+      view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
+      view_of<std::uint32_t>(child_raw, meta.num_child), meta.fanout_bound);
+  if (Status s = validate_own_bits(f, meta, entry_off); !s.ok()) {
+    return s;
+  }
+  return f;
 }
 
 }  // namespace
@@ -610,56 +725,15 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
     return fail(Status::corrupted("implausible pool sizes in meta section"));
   }
 
-  const void *nodes_raw = nullptr, *keys_raw = nullptr, *proper_raw = nullptr,
-             *bridge_raw = nullptr, *child_raw = nullptr;
-  if (Status s = get_section(p, SectionId::kNodes, sizeof(serve::FlatNode),
-                             meta.num_nodes, nodes_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kKeys, sizeof(cat::Key),
-                             meta.num_keys, keys_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kProper, 4, meta.num_keys,
-                             proper_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kBridge, 4, meta.num_bridge,
-                             bridge_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kChild, 4, meta.num_child,
-                             child_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-
-  const auto* nodes = static_cast<const serve::FlatNode*>(nodes_raw);
-  const auto* keys = static_cast<const cat::Key*>(keys_raw);
-  const auto* proper = static_cast<const std::uint32_t*>(proper_raw);
-  const auto* bridge = static_cast<const std::uint32_t*>(bridge_raw);
-  const auto* child = static_cast<const std::uint32_t*>(child_raw);
-
   Snapshot snap;
   snap.kind = static_cast<SnapshotKind>(p.header.kind);
 
   if (snap.kind == SnapshotKind::kCascade) {
-    if (Status s = validate_mapped_cascade(nodes, meta, keys, proper, bridge,
-                                           child, nullptr);
-        !s.ok()) {
-      return fail(s);
+    auto cascade = load_cascade(p, meta, nullptr);
+    if (!cascade.ok()) {
+      return fail(cascade.status());
     }
-    snap.cascade = ArenaAccess::assemble_cascade(
-        view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
-        view_of<cat::Key>(keys_raw, meta.num_keys),
-        view_of<std::uint32_t>(proper_raw, meta.num_keys),
-        view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
-        view_of<std::uint32_t>(child_raw, meta.num_child),
-        meta.fanout_bound);
+    snap.cascade = cascade.take();
     snap.mapping = std::move(map);
     return snap;
   }
@@ -706,8 +780,8 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
   const auto* sep = static_cast<const std::int32_t*>(sep_raw);
 
   // Entry spans: monotone offsets within the entry pools; the cascade
-  // validation below then caps every proper index by its node's span, so
-  // branch_at's entry_off[v] + prop reads stay inside the pools.
+  // validation below then matches every node's own-entry count to its
+  // span, so branch_at's entry_off[v] + prop reads stay inside the pools.
   if (entry_off[0] != 0) {
     return fail(Status::corrupted("entry offsets do not start at 0"));
   }
@@ -730,19 +804,12 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
                                     std::to_string(vi)));
     }
   }
-  if (Status s = validate_mapped_cascade(nodes, meta, keys, proper, bridge,
-                                         child, entry_off);
-      !s.ok()) {
-    return fail(s);
+  auto cascade = load_cascade(p, meta, entry_off);
+  if (!cascade.ok()) {
+    return fail(cascade.status());
   }
   snap.pointloc.emplace(ArenaAccess::assemble_pointloc(
-      ArenaAccess::assemble_cascade(
-          view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
-          view_of<cat::Key>(keys_raw, meta.num_keys),
-          view_of<std::uint32_t>(proper_raw, meta.num_keys),
-          view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
-          view_of<std::uint32_t>(child_raw, meta.num_child),
-          meta.fanout_bound),
+      cascade.take(),
       view_of<std::uint32_t>(eo_raw, meta.num_nodes),
       view_of<std::int32_t>(sep_raw, meta.num_nodes),
       view_of<geom::Coord>(lox_raw, meta.num_entries),

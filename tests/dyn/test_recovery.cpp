@@ -322,14 +322,16 @@ TEST(Recovery, CompactedBaseBootsAndOrphanSpoolIsSwept) {
   EXPECT_NE(::access(orphan.c_str(), F_OK), 0);  // swept at recovery
 }
 
-TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV3) {
-  // A WAL directory left by a build that spooled format-v2 bases: its
-  // MANIFEST names a v2 base-<wm>.snap.  This build must recover it with
-  // every acked write readable, and its next compaction must spool a v3
-  // base (no layout sections) that reopens.
+/// A WAL directory left by a build that spooled older-format bases: its
+/// MANIFEST names a base-<wm>.snap that `craft` rewrites as `version`.
+/// This build must recover it with every acked write readable, and its
+/// next compaction must spool a current-format base (no layout sections,
+/// no kProper section) that reopens.
+void expect_old_base_upgrades(std::uint32_t version,
+                              void (*craft)(const std::string&)) {
   const cat::Tree tree = make_tree();
   dyn::DurabilityOptions d;
-  d.dir = fresh_dir("v2base");
+  d.dir = fresh_dir("v" + std::to_string(version) + "base");
 
   Boot a;
   ASSERT_TRUE(a.up(tree, d).ok());
@@ -350,8 +352,10 @@ TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV3) {
   ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
   ASSERT_FALSE(manifest->base_file.empty());
   const std::string base = d.dir + "/" + manifest->base_file;
-  snapshot_craft::upgrade_to_v2(base);
-  ASSERT_TRUE(snapshot_craft::has_layout_sections(base));
+  craft(base);
+  ASSERT_EQ(snapshot_craft::parse(snapshot_craft::slurp(base)).header.version,
+            version);
+  ASSERT_TRUE(snapshot_craft::has_proper_section(base));
 
   Boot b;
   ASSERT_TRUE(b.up(tree, d).ok());
@@ -359,7 +363,7 @@ TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV3) {
   EXPECT_EQ(b.cat->stats().write_seq, want_seq);
   EXPECT_EQ(all_live(*b.cat, tree.num_nodes()), want);
   // Read-your-writes through the serving read path (the grouped kernel
-  // over the v2 base, then the merge with the replayed runs).
+  // over the old base, then the merge with the replayed runs).
   std::vector<serve::PathQuery> queries(64);
   for (auto& q : queries) {
     q.path = {tree.root()};
@@ -388,17 +392,27 @@ TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV3) {
   auto spooled = dyn::read_wal_manifest(d.dir);
   ASSERT_TRUE(spooled.ok());
   ASSERT_NE(spooled->base_file, manifest->base_file);
-  const std::string v3 = d.dir + "/" + spooled->base_file;
-  EXPECT_EQ(snapshot_craft::parse(snapshot_craft::slurp(v3)).header.version,
-            snapshot::kFormatVersion);
-  EXPECT_FALSE(snapshot_craft::has_layout_sections(v3));
-  EXPECT_TRUE(snapshot::open(v3).ok());
+  const std::string current = d.dir + "/" + spooled->base_file;
+  EXPECT_EQ(
+      snapshot_craft::parse(snapshot_craft::slurp(current)).header.version,
+      snapshot::kFormatVersion);
+  EXPECT_FALSE(snapshot_craft::has_layout_sections(current));
+  EXPECT_FALSE(snapshot_craft::has_proper_section(current));
+  EXPECT_TRUE(snapshot::open(current).ok());
   b.cat->wal()->simulate_crash();
 
   Boot c;
   ASSERT_TRUE(c.up(tree, d).ok());
   EXPECT_EQ(c.report.base_file, spooled->base_file);
   EXPECT_EQ(all_live(*c.cat, tree.num_nodes()), want_after);
+}
+
+TEST(Recovery, V2BaseRecoversAndNextCompactionSpoolsV4) {
+  expect_old_base_upgrades(2, snapshot_craft::to_v2);
+}
+
+TEST(Recovery, V3BaseRecoversAndNextCompactionSpoolsV4) {
+  expect_old_base_upgrades(3, snapshot_craft::to_v3);
 }
 
 TEST(Recovery, EmptyFinalSegmentFromRotationCrash) {

@@ -96,7 +96,7 @@ TEST(SnapshotCorruption, ForgedSimdLayoutInV2FileIsServedIdentically) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     write_good_snapshot(path);
-    snapshot_craft::upgrade_to_v2(path);
+    snapshot_craft::to_v2(path);
     auto clean = snapshot::open(path);
     ASSERT_TRUE(clean.ok()) << clean.status().to_string();
     const auto before = snapshot_craft::slurp(path);

@@ -1,14 +1,17 @@
 #pragma once
 
 // Byte-level crafting of older snapshot formats from files this build
-// writes (format v3), so back-compat tests can prove that every version
+// writes (format v4), so back-compat tests can prove that every version
 // snapshot::open still accepts serves identically.
 //
+//   v3: v4 with the kOwnBits section replaced, in place, by kProper: the
+//       uint32 aug -> proper map, each entry's count of own entries before
+//       it in its node — exactly what a v3 writer emitted.
 //   v1: v3's section set under version 1 (v1 had no layout sections and
 //       the same 56-byte meta).
 //   v2: v3 plus the per-node blocked multiway layout sections kSimdKeys/
 //       kSimdPos/kSimdOff after kChild, the meta grown to 64 bytes by the
-//       layout's slot count — exactly what a v2 writer emitted.
+//       layout's slot count.
 //
 // Every CRC is re-forged, so the crafted files pass the checksum ladder.
 
@@ -96,37 +99,82 @@ inline std::vector<unsigned char> serialize(File f) {
   return bytes;
 }
 
-inline const Section* find(const File& f, snapshot::SectionId id) {
-  for (const Section& s : f.sections) {
+inline Section* find(File& f, snapshot::SectionId id) {
+  for (Section& s : f.sections) {
     if (s.id == id) {
       return &s;
     }
   }
   return nullptr;
 }
+inline const Section* find(const File& f, snapshot::SectionId id) {
+  return find(const_cast<File&>(f), id);
+}
 
-/// Rewrite the v3 snapshot at `path` as the v1 format.
-inline void downgrade_to_v1(const std::string& path) {
+template <typename T>
+std::vector<T> elements(const Section& s) {
+  std::vector<T> out(s.payload.size() / sizeof(T));
+  std::memcpy(out.data(), s.payload.data(), s.payload.size());
+  return out;
+}
+
+template <typename T>
+std::vector<unsigned char> bytes_of(const std::vector<T>& vec) {
+  const auto* p = reinterpret_cast<const unsigned char*>(vec.data());
+  return {p, p + vec.size() * sizeof(T)};
+}
+
+/// A v4 file's section set in v3 form: kOwnBits replaced in place by the
+/// kProper map it encodes.
+inline void own_bits_to_proper(File& f) {
+  Section* bits_s = find(f, snapshot::SectionId::kOwnBits);
+  const Section* nodes_s = find(f, snapshot::SectionId::kNodes);
+  ASSERT_NE(bits_s, nullptr);
+  ASSERT_NE(nodes_s, nullptr);
+  const auto bits = elements<std::uint64_t>(*bits_s);
+  std::vector<std::uint32_t> proper;
+  for (const serve::FlatNode& nd : elements<serve::FlatNode>(*nodes_s)) {
+    std::uint32_t rank = 0;
+    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
+      proper.push_back(rank);
+      const std::size_t p = std::size_t{nd.key_off} + i;
+      rank += static_cast<std::uint32_t>((bits[p / 64] >> (p % 64)) & 1);
+    }
+  }
+  *bits_s = {snapshot::SectionId::kProper, 4, bytes_of(proper)};
+}
+
+/// Rewrite the v4 snapshot at `path` as the v3 format.
+inline void to_v3(const std::string& path) {
   File f = parse(slurp(path));
-  ASSERT_EQ(f.header.version, 3u);
+  ASSERT_EQ(f.header.version, 4u);
+  own_bits_to_proper(f);
+  f.header.version = 3;
+  spit(path, serialize(std::move(f)));
+}
+
+/// Rewrite the v4 snapshot at `path` as the v1 format.
+inline void to_v1(const std::string& path) {
+  File f = parse(slurp(path));
+  ASSERT_EQ(f.header.version, 4u);
+  own_bits_to_proper(f);
   f.header.version = 1;
   spit(path, serialize(std::move(f)));
 }
 
-/// Rewrite the v3 snapshot at `path` as the v2 format: build every
+/// Rewrite the v4 snapshot at `path` as the v2 format: build every
 /// node's layout with simd::build_layout from the file's own keys.
-inline void upgrade_to_v2(const std::string& path) {
+inline void to_v2(const std::string& path) {
   File f = parse(slurp(path));
-  ASSERT_EQ(f.header.version, 3u);
+  ASSERT_EQ(f.header.version, 4u);
+  own_bits_to_proper(f);
   const Section* nodes_s = find(f, snapshot::SectionId::kNodes);
   const Section* keys_s = find(f, snapshot::SectionId::kKeys);
   ASSERT_NE(nodes_s, nullptr);
   ASSERT_NE(keys_s, nullptr);
-  const std::size_t nn = nodes_s->payload.size() / sizeof(serve::FlatNode);
-  std::vector<serve::FlatNode> nodes(nn);
-  std::memcpy(nodes.data(), nodes_s->payload.data(), nodes_s->payload.size());
-  std::vector<cat::Key> keys(keys_s->payload.size() / sizeof(cat::Key));
-  std::memcpy(keys.data(), keys_s->payload.data(), keys_s->payload.size());
+  const auto nodes = elements<serve::FlatNode>(*nodes_s);
+  const auto keys = elements<cat::Key>(*keys_s);
+  const std::size_t nn = nodes.size();
 
   std::vector<std::uint32_t> slot_off(nn);
   std::size_t slots = 0;
@@ -142,11 +190,6 @@ inline void upgrade_to_v2(const std::string& path) {
                               slot_keys.data() + slot_off[v],
                               slot_pos.data() + slot_off[v]);
   }
-  const auto bytes_of = [](const auto& vec) {
-    const auto* p = reinterpret_cast<const unsigned char*>(vec.data());
-    return std::vector<unsigned char>(p, p + vec.size() * sizeof(vec[0]));
-  };
-
   std::vector<Section> out;
   for (Section& s : f.sections) {
     if (s.id == snapshot::SectionId::kMeta) {
@@ -176,6 +219,11 @@ inline bool has_layout_sections(const std::string& path) {
   return find(f, snapshot::SectionId::kSimdKeys) != nullptr ||
          find(f, snapshot::SectionId::kSimdPos) != nullptr ||
          find(f, snapshot::SectionId::kSimdOff) != nullptr;
+}
+
+/// Whether the file at `path` carries the v1-v3 kProper section.
+inline bool has_proper_section(const std::string& path) {
+  return find(parse(slurp(path)), snapshot::SectionId::kProper) != nullptr;
 }
 
 }  // namespace snapshot_craft
